@@ -281,7 +281,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	if *workers > 1 || *shards > 0 {
-		go server.ServeConcurrent(ctx, *workers, nil)
+		go server.ServeConcurrent(ctx, nil)
 	} else {
 		go server.Serve(ctx, nil)
 	}

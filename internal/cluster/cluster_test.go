@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +39,13 @@ type testNode struct {
 // them stopped so shutdown skips them.
 func bootCluster(t *testing.T, ids []string, dir string, tweak func(*Config)) (map[string]*testNode, func()) {
 	t.Helper()
+	return bootClusterWith(t, ids, dir, tweak, nil)
+}
+
+// bootClusterWith is bootCluster with extra per-member hub options
+// (hubOpts may be nil).
+func bootClusterWith(t *testing.T, ids []string, dir string, tweak func(*Config), hubOpts func(id string) []core.HubOption) (map[string]*testNode, func()) {
+	t.Helper()
 	nodes := map[string]*testNode{}
 	for _, id := range ids {
 		nodes[id] = &testNode{id: id}
@@ -55,13 +63,16 @@ func bootCluster(t *testing.T, ids []string, dir string, tweak func(*Config)) (m
 		if err != nil {
 			t.Fatal(err)
 		}
-		hubOpts := []core.HubOption{core.WithExchangeIDBase(cfg.ExchangeIDBase())}
+		opts := []core.HubOption{core.WithExchangeIDBase(cfg.ExchangeIDBase())}
 		if dir != "" {
-			hubOpts = append(hubOpts,
+			opts = append(opts,
 				core.WithJournal(JournalPath(dir, id)),
 				core.WithFsyncPolicy(journal.FsyncAlways))
 		}
-		tn.hub, err = core.NewHub(m, hubOpts...)
+		if hubOpts != nil {
+			opts = append(opts, hubOpts(id)...)
+		}
+		tn.hub, err = core.NewHub(m, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,6 +489,98 @@ func TestHeartbeatDeathAndTakeover(t *testing.T) {
 	}
 	if a.hub.Status().Cluster.Forwarded != 0 {
 		t.Fatal("post-takeover submit was forwarded, want local execution")
+	}
+}
+
+// gatedReadFS is the real filesystem except that reading one path blocks
+// until release is closed; entered is closed when that read starts.
+type gatedReadFS struct {
+	journal.FS
+	path             string
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (fs *gatedReadFS) ReadFile(name string) ([]byte, error) {
+	if name == fs.path {
+		fs.once.Do(func() { close(fs.entered) })
+		<-fs.release
+	}
+	return fs.FS.ReadFile(name)
+}
+
+// TestTakeoverCounterMovesAfterReplay: Takeovers counts finished replays.
+// While the survivor's read of the dead peer's journal is held, the
+// counter stays 0; once it reads 1, every acked exchange of the dead peer
+// is already restored — no wait between the two observations.
+func TestTakeoverCounterMovesAfterReplay(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dir := t.TempDir()
+	gate := &gatedReadFS{
+		FS:      journal.OSFS(),
+		path:    JournalPath(dir, "nB"),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	nodes, shutdown := bootClusterWith(t, []string{"nA", "nB"}, dir, func(c *Config) {
+		c.DeadAfter = 3
+	}, func(id string) []core.HubOption {
+		if id == "nA" {
+			return []core.HubOption{core.WithJournalFS(gate)}
+		}
+		return nil
+	})
+	defer shutdown()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	a, b := nodes["nA"], nodes["nB"]
+	g := doc.NewGenerator(1)
+
+	victim := ""
+	for _, tp := range []string{"TP1", "TP2", "TP3"} {
+		if a.node.Owner(tp) == "nB" {
+			victim = tp
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("fixture: nB owns no partner")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	acked := make([]string, 0, 3)
+	for i := 0; i < 3; i++ {
+		resp, err := b.client.Submit(ctx, poRequest(t, g, victim))
+		if err != nil {
+			t.Fatalf("seed submit %d on nB: %v", i, err)
+		}
+		acked = append(acked, resp.ExchangeID)
+	}
+
+	a.node.Start()
+	b.stop()
+
+	select {
+	case <-gate.entered:
+	case <-ctx.Done():
+		t.Fatal("survivor never started reading the dead peer's journal")
+	}
+	if got := a.hub.Status().Cluster.Takeovers; got != 0 {
+		t.Fatalf("takeovers = %d while the replay is still reading the journal, want 0", got)
+	}
+	release()
+
+	waitFor(t, 10*time.Second, "takeover replay", func() bool {
+		return a.hub.Status().Cluster.Takeovers >= 1
+	})
+	for _, id := range acked {
+		if _, ok := a.hub.ExchangeByID(id); !ok {
+			t.Fatalf("takeovers counted but acked exchange %s not restored", id)
+		}
+	}
+	if cs := a.hub.Status().Cluster; cs.TakenOver < int64(len(acked)) {
+		t.Fatalf("taken_over=%d, want >= %d", cs.TakenOver, len(acked))
 	}
 }
 

@@ -117,15 +117,17 @@ func (n *Node) recordProbe(p *peer, ok bool) {
 // takeover replays the dead peer's journal for the partners this node now
 // owns. Other successors run the same scan concurrently against the same
 // read-only file, each claiming its own partition; partners neither owns
-// are skipped by the predicate and recovered by whichever node does.
+// are skipped by the predicate and recovered by whichever node does. The
+// takeover counter moves only once the replay has finished, so a reader
+// that sees it has also seen the restored exchanges.
 func (n *Node) takeover(p *peer) {
-	n.takeovers.Add(1)
 	if n.cfg.JournalDir == "" {
 		return
 	}
 	owns := func(partner string) bool { return n.ownerOf(partner) == n.cfg.Node }
 	rep, err := n.hub.TakeOverJournal(n.d.Context(), JournalPath(n.cfg.JournalDir, p.id), owns)
 	n.takenOver.Add(int64(rep.Restored + rep.DeadLetters + rep.Reenqueued))
+	n.takeovers.Add(1)
 	if err != nil {
 		n.bus.Emit(obs.Event{
 			Partner: p.id,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/transform"
 	"repro/internal/wf"
 )
@@ -329,7 +330,7 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.processNative(context.Background(), formats.RosettaNet, native); err == nil {
+	if _, err := h.processNativeOpt(context.Background(), formats.RosettaNet, native, exchangeOpts{}); err == nil {
 		t.Fatal("protocol mismatch accepted")
 	}
 }
@@ -553,24 +554,24 @@ func TestHubStats(t *testing.T) {
 	if _, _, err := invoiceFor(h, ctx, "TP1", po.ID); err != nil {
 		t.Fatal(err)
 	}
-	st := h.Stats()
-	if st.Exchanges != 2 || st.Invoices != 1 || st.Failed != 0 {
-		t.Fatalf("stats %+v", st)
+	st := h.Status().Exchanges
+	if st.ByFlow[obs.FlowPO] != 2 || st.ByFlow[obs.FlowInvoice] != 1 || st.Failed != 0 {
+		t.Fatalf("exchanges %+v", st)
 	}
-	if st.PerPartner["TP1"] != 2 || st.PerPartner["TP2"] != 1 {
-		t.Fatalf("per-partner %+v", st.PerPartner)
+	if st.ByPartner["TP1"] != 2 || st.ByPartner["TP2"] != 1 {
+		t.Fatalf("per-partner %+v", st.ByPartner)
 	}
 	// A failed invoice (unbilled order) counts as failed.
 	if _, _, err := invoiceFor(h, ctx, "TP1", "PO-NOPE"); err == nil {
 		t.Fatal("expected failure")
 	}
-	if st := h.Stats(); st.Failed != 1 {
+	if st := h.Status().Exchanges; st.Failed != 1 {
 		t.Fatalf("failed %d", st.Failed)
 	}
 	// Snapshot is a copy: mutating it does not affect the hub.
-	snap := h.Stats()
-	snap.PerPartner["TP1"] = 999
-	if h.Stats().PerPartner["TP1"] == 999 {
-		t.Fatal("Stats returned shared map")
+	snap := h.Status().Exchanges
+	snap.ByPartner["TP1"] = 999
+	if h.Status().Exchanges.ByPartner["TP1"] == 999 {
+		t.Fatal("Status returned a shared map")
 	}
 }

@@ -108,15 +108,9 @@ type exchangeOpts struct {
 	canaryKey string
 }
 
-// ProcessInboundPO drives one inbound purchase order (wire bytes in the
+// processInboundPO drives one inbound purchase order (wire bytes in the
 // given B2B protocol) through the full chain and returns the outbound POA
-// wire bytes plus the completed exchange record.
-//
-// Deprecated: use Do with a DocWirePO Request.
-func (h *Hub) ProcessInboundPO(ctx context.Context, protocol formats.Format, wire []byte) ([]byte, *Exchange, error) {
-	return h.processInboundPO(ctx, protocol, wire, exchangeOpts{})
-}
-
+// wire bytes plus the completed exchange record (the DocWirePO flow).
 func (h *Hub) processInboundPO(ctx context.Context, protocol formats.Format, wire []byte, opts exchangeOpts) ([]byte, *Exchange, error) {
 	poCodec, err := h.codecs.Lookup(protocol, doc.TypePO)
 	if err != nil {
@@ -141,15 +135,9 @@ func (h *Hub) processInboundPO(ctx context.Context, protocol formats.Format, wir
 	return out, ex, nil
 }
 
-// RoundTrip is the normalized-document convenience: it encodes the PO in
+// roundTrip is the normalized-document flow (DocPO): it encodes the PO in
 // the buyer's registered protocol, processes it, and decodes the returned
 // POA back to the normalized model.
-//
-// Deprecated: use Do with a DocPO Request.
-func (h *Hub) RoundTrip(ctx context.Context, po *doc.PurchaseOrder) (*doc.PurchaseOrderAck, *Exchange, error) {
-	return h.roundTrip(ctx, po, exchangeOpts{})
-}
-
 func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchangeOpts) (*doc.PurchaseOrderAck, *Exchange, error) {
 	route, ok := h.resolveRoute(po.Buyer.ID)
 	if !ok {
@@ -170,13 +158,9 @@ func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchang
 	return nd.(*doc.PurchaseOrderAck), ex, nil
 }
 
-// processNative runs the chain for a decoded native PO.
-func (h *Hub) processNative(ctx context.Context, protocol formats.Format, native any) (*Exchange, error) {
-	return h.processNativeOpt(ctx, protocol, native, exchangeOpts{})
-}
-
-// processNativeOpt is processNative plus the per-exchange options: the
-// dead-letter resubmission flag and the per-call retry override.
+// processNativeOpt runs the chain for a decoded native PO under the
+// per-exchange options: the dead-letter resubmission flag and the per-call
+// retry override.
 func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, native any, opts exchangeOpts) (*Exchange, error) {
 	// Identify the sending partner from the document itself (buyer ID).
 	nd, err := h.reg.ToNormalized(protocol, doc.TypePO, native)

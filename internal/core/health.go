@@ -22,12 +22,6 @@ import (
 // built without WithHealth).
 func (h *Hub) Health() *health.Tracker { return h.health }
 
-// HealthMetrics exposes the per-partner breaker gauges derived from the
-// KindHealth event stream.
-//
-// Deprecated: use Status().Partners.
-func (h *Hub) HealthMetrics() *obs.HealthMetrics { return h.healthMetrics }
-
 // breakerStep maps the state a breaker transitioned into onto its
 // KindHealth event step.
 func breakerStep(to health.State) string {

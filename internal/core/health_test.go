@@ -74,7 +74,7 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 			t.Fatalf("dead letter %+v, want TP1/ErrPartnerUnavailable", dl)
 		}
 	}
-	c := h.Counters()
+	c := h.Status().Exchanges
 	if c.Started != 2 || c.Failed != 2 || c.DeadLettered != 2 || c.Retries != 0 {
 		t.Fatalf("counters = %+v, want 2 started / 2 failed / 2 dead-lettered / 0 retries", c)
 	}
@@ -104,7 +104,7 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 		t.Fatalf("dead-letter queue has %d entries after resubmission, want 0", n)
 	}
 
-	hm := h.HealthMetrics().Snapshot()
+	hm := h.Status().Partners
 	if len(hm) != 1 || hm[0].Partner != "TP1" {
 		t.Fatalf("health metrics = %+v, want one TP1 entry", hm)
 	}
@@ -131,7 +131,7 @@ func TestShedNormalLaneBeforeHigh(t *testing.T) {
 	hangBackend(h, "Oracle")
 	cancel, wg := submitHung(h, tp2, 2)
 	waitFor(t, func() bool {
-		for _, sh := range h.SchedMetrics().Snapshot() {
+		for _, sh := range h.Status().Sched.PerShard {
 			if sh.Busy > 0 && sh.Queued > 0 {
 				return true
 			}
@@ -180,7 +180,7 @@ func TestShedNormalLaneBeforeHigh(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	hm := h.HealthMetrics().Snapshot()
+	hm := h.Status().Partners
 	if len(hm) != 1 || hm[0].Sheds != 1 || hm[0].FastFails != 0 {
 		t.Fatalf("health metrics = %+v, want TP2 with exactly 1 shed", hm)
 	}
@@ -400,7 +400,7 @@ func TestDrainDeadlineExpiry(t *testing.T) {
 	hangBackend(h, "Oracle")
 	cancel, wg := submitHung(h, tp2, 1)
 	waitFor(t, func() bool {
-		for _, sh := range h.SchedMetrics().Snapshot() {
+		for _, sh := range h.Status().Sched.PerShard {
 			if sh.Busy > 0 {
 				return true
 			}

@@ -210,19 +210,13 @@ func (h *Hub) EnableInvoicing() (*ChangeRecord, error) {
 	return rec, nil
 }
 
-// SendInvoice runs the outbound invoice flow for a fulfilled order: it
-// extracts the billing document from the partner's back end, drives it
-// through the invoice chain and returns the protocol-native wire bytes
-// ready to transmit, plus the exchange record.
-//
-// Deprecated: use Do with a DocInvoice Request.
-func (h *Hub) SendInvoice(ctx context.Context, partnerID, poID string) ([]byte, *Exchange, error) {
-	return h.sendInvoice(ctx, partnerID, poID, exchangeOpts{})
-}
-
-// sendInvoice is SendInvoice plus the per-exchange options dead-letter
-// replays and per-call overrides set; a failed invoice exchange is parked
-// on the dead-letter queue keyed by its order identifier.
+// sendInvoice runs the outbound invoice flow for a fulfilled order (the
+// DocInvoice flow): it extracts the billing document from the partner's
+// back end, drives it through the invoice chain and returns the
+// protocol-native wire bytes ready to transmit, plus the exchange record.
+// opts carries the flags dead-letter replays and per-call overrides set; a
+// failed invoice exchange is parked on the dead-letter queue keyed by its
+// order identifier.
 func (h *Hub) sendInvoice(ctx context.Context, partnerID, poID string, opts exchangeOpts) ([]byte, *Exchange, error) {
 	if h.Model.InvoicePrivate == nil {
 		return nil, nil, fmt.Errorf("core: invoicing is not enabled")

@@ -852,9 +852,3 @@ func (h *Hub) CloseJournal() error {
 	h.stopDurabilityProbe()
 	return h.jrn.Close()
 }
-
-// RecoveryMetrics exposes the crash-recovery gauges derived from the
-// KindRecovery event stream.
-//
-// Deprecated: use Status().Recovery.
-func (h *Hub) RecoveryMetrics() *obs.RecoveryMetrics { return h.recoveryMetrics }

@@ -3,11 +3,9 @@
 // between the chain's process instances, exchange start and completion —
 // is emitted as a typed Event on a Bus that fans out to pluggable Sinks.
 //
-// The package replaces two ad-hoc mechanisms that grew with the seed:
-// the per-exchange Trace []string journal and the hand-rolled mutex
-// counters of HubStats. Both are now derived views over the event stream
-// (see Collector and ExchangeCounters); latency histograms per pipeline
-// stage come for free (see Metrics).
+// Exchange traces and lifecycle counters are derived views over the event
+// stream (see Collector and ExchangeCounters); latency histograms per
+// pipeline stage come for free (see Metrics).
 package obs
 
 import (

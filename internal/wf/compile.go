@@ -60,6 +60,15 @@ func (e PlanErrors) Error() string {
 	return strings.Join(parts, "; ")
 }
 
+// Unwrap exposes the individual defects to errors.Is and errors.As.
+func (e PlanErrors) Unwrap() []error {
+	out := make([]error, len(e))
+	for i, pe := range e {
+		out[i] = pe
+	}
+	return out
+}
+
 // ByClass filters the errors down to one defect class.
 func (e PlanErrors) ByClass(c PlanErrorClass) PlanErrors {
 	var out PlanErrors

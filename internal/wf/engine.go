@@ -284,26 +284,25 @@ func (e *Engine) Plans() []*Plan {
 
 // planFor resolves the plan for a type, compiling lazily for types that
 // reached the store without passing through this engine's Deploy (shared or
-// reopened stores). A type that fails lazy compilation returns nil and the
-// engine falls back to the legacy interpreter for it — the behavior such a
-// type would have had before compilation existed.
-func (e *Engine) planFor(t *TypeDef) *Plan {
+// reopened stores). A type that fails lazy compilation yields the
+// PlanErrors Deploy would have rejected it with.
+func (e *Engine) planFor(t *TypeDef) (*Plan, error) {
 	key := t.Key()
 	e.planMu.RLock()
 	p := e.plans[key]
 	e.planMu.RUnlock()
 	if p != nil {
-		return p
+		return p, nil
 	}
 	p, err := Compile(t, CompileDeps{Handlers: e.handlers, Ports: e.portCheck})
 	e.compiles.Add(1)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	e.planMu.Lock()
 	e.plans[key] = p
 	e.planMu.Unlock()
-	return p
+	return p, nil
 }
 
 // HasType reports whether the engine's store holds the named type at the
@@ -469,17 +468,18 @@ func (e *Engine) advance(ctx context.Context, t *TypeDef, in *Instance) error {
 }
 
 // advanceWith runs the instance with an initial set of force-activated
-// steps (loop re-entries and timeout branches). It dispatches to the
-// compiled-plan interpreter when a plan is available, falling back to the
-// legacy TypeDef interpreter otherwise (or always, under
-// WithLegacyInterpreter).
+// steps (loop re-entries and timeout branches) on the compiled-plan
+// interpreter, or on the legacy TypeDef interpreter under
+// WithLegacyInterpreter.
 func (e *Engine) advanceWith(ctx context.Context, t *TypeDef, in *Instance, forced map[string]bool) error {
-	if !e.legacy {
-		if p := e.planFor(t); p != nil {
-			return e.advancePlan(ctx, p, in, forced)
-		}
+	if e.legacy {
+		return e.advanceLegacy(ctx, t, in, forced)
 	}
-	return e.advanceLegacy(ctx, t, in, forced)
+	p, err := e.planFor(t)
+	if err != nil {
+		return err
+	}
+	return e.advancePlan(ctx, p, in, forced)
 }
 
 // advanceLegacy is the pre-plan interpreter: a full rescan of every step per

@@ -72,6 +72,33 @@ func TestPlanErrorUnknownHandler(t *testing.T) {
 	}
 }
 
+// TestPlanErrorOnLazyCompile: a type that reached the store without this
+// engine's Deploy (a shared or reopened store) and names a handler the
+// engine lacks fails at Start with the deploy-time PlanError — it does not
+// run on another interpreter instead.
+func TestPlanErrorOnLazyCompile(t *testing.T) {
+	def := &wf.TypeDef{
+		Name:  "lazy",
+		Steps: []wf.StepDef{{Name: "ghost", Kind: wf.StepTask, Handler: "unregistered"}},
+	}
+	if err := def.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	store := wfstore.NewMemStore()
+	if err := store.PutType(def); err != nil {
+		t.Fatal(err)
+	}
+	e := wf.NewEngine("lazy", store, wf.NewHandlers(), nil)
+	_, err := e.Start(context.Background(), "lazy", nil)
+	var perr *wf.PlanError
+	if !errors.As(err, &perr) {
+		t.Fatalf("Start err = %v, want a *wf.PlanError", err)
+	}
+	if perr.Class != wf.PlanUnknownHandler || perr.Step != "ghost" {
+		t.Fatalf("plan error = %+v, want unknown-handler on step ghost", perr)
+	}
+}
+
 func TestPlanErrorUnroutablePort(t *testing.T) {
 	def := &wf.TypeDef{
 		Name: "up",
