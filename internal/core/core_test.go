@@ -330,7 +330,7 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.processNativeOpt(context.Background(), formats.RosettaNet, native, exchangeOpts{}); err == nil {
+	if _, err := h.processNative(context.Background(), &Request{}, formats.RosettaNet, native); err == nil {
 		t.Fatal("protocol mismatch accepted")
 	}
 }

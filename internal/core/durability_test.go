@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +217,9 @@ func TestRecoverParksPoisonedAdmission(t *testing.T) {
 	dl := dls[0]
 	if !strings.Contains(dl.Reason.Error(), "poison") || !dl.journaled || dl.req == nil {
 		t.Fatalf("poisoned dead letter %+v, want a journaled, replayable poison entry", dl)
+	}
+	if !regexp.MustCompile(`^ex-\d{6}$`).MatchString(dl.ExchangeID) {
+		t.Fatalf("poisoned exchange ID %q, want the ex-NNNNNN form every exchange ID has", dl.ExchangeID)
 	}
 	if ds := h.Status().Durability; ds.Poisoned != 1 {
 		t.Fatalf("durability status %+v, want 1 poisoned", ds)

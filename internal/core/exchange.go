@@ -93,34 +93,20 @@ func (h *Hub) CachedRoutes() int {
 	return len(h.routes)
 }
 
-// exchangeOpts carries per-exchange execution options through the pipeline.
-type exchangeOpts struct {
-	// resubmit marks a dead-letter replay: its app binding tolerates the
-	// backend's duplicate-order rejection.
-	resubmit bool
-	// journaled marks an exchange whose admission was write-ahead-logged.
-	journaled bool
-	// retry overrides the hub's retry policies for this exchange only.
-	retry *RetryPolicy
-	// canaryKey is the stable business identifier (PO ID) canary routing
-	// hashes on, so a resubmitted document lands on the same arm as its
-	// original run. Empty falls back to the exchange ID.
-	canaryKey string
-}
-
 // processInboundPO drives one inbound purchase order (wire bytes in the
 // given B2B protocol) through the full chain and returns the outbound POA
 // wire bytes plus the completed exchange record (the DocWirePO flow).
-func (h *Hub) processInboundPO(ctx context.Context, protocol formats.Format, wire []byte, opts exchangeOpts) ([]byte, *Exchange, error) {
+func (h *Hub) processInboundPO(ctx context.Context, req *Request) ([]byte, *Exchange, error) {
+	protocol := req.Protocol
 	poCodec, err := h.codecs.Lookup(protocol, doc.TypePO)
 	if err != nil {
 		return nil, nil, err
 	}
-	native, err := poCodec.Decode(wire)
+	native, err := poCodec.Decode(req.Wire)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: inbound %s PO: %w", protocol, err)
 	}
-	ex, err := h.processNativeOpt(ctx, protocol, native, opts)
+	ex, err := h.processNative(ctx, req, protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -138,7 +124,8 @@ func (h *Hub) processInboundPO(ctx context.Context, protocol formats.Format, wir
 // roundTrip is the normalized-document flow (DocPO): it encodes the PO in
 // the buyer's registered protocol, processes it, and decodes the returned
 // POA back to the normalized model.
-func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchangeOpts) (*doc.PurchaseOrderAck, *Exchange, error) {
+func (h *Hub) roundTrip(ctx context.Context, req *Request) (*doc.PurchaseOrderAck, *Exchange, error) {
+	po := req.PO
 	route, ok := h.resolveRoute(po.Buyer.ID)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, po.Buyer.ID)
@@ -147,7 +134,7 @@ func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchang
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := h.processNativeOpt(ctx, route.partner.Protocol, native, opts)
+	ex, err := h.processNative(ctx, req, route.partner.Protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -158,10 +145,9 @@ func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchang
 	return nd.(*doc.PurchaseOrderAck), ex, nil
 }
 
-// processNativeOpt runs the chain for a decoded native PO under the
-// per-exchange options: the dead-letter resubmission flag and the per-call
-// retry override.
-func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, native any, opts exchangeOpts) (*Exchange, error) {
+// processNative runs the chain for req's PO, decoded to its native form in
+// the given protocol. A failed exchange is dead-lettered with req retained.
+func (h *Hub) processNative(ctx context.Context, req *Request, protocol formats.Format, native any) (*Exchange, error) {
 	// Identify the sending partner from the document itself (buyer ID).
 	nd, err := h.reg.ToNormalized(protocol, doc.TypePO, native)
 	if err != nil {
@@ -177,8 +163,7 @@ func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, nat
 			ErrProtocolMismatch, route.partner.ID, route.partner.Protocol, protocol)
 	}
 
-	opts.canaryKey = po.ID
-	ex := h.newExchange(route, obs.FlowPO, opts)
+	ex := h.newExchange(route, obs.FlowPO, req, po.ID)
 	start := time.Now()
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	err = h.runPO(ctx, ex, native)
@@ -186,7 +171,7 @@ func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, nat
 	h.emitLifecycle(ex, terminalStep(err), time.Since(start), err)
 	h.recordCanaryOutcome(ex, err)
 	if err != nil {
-		h.deadLetter(ex, err, native, "")
+		h.deadLetter(ex, err, req.rerun())
 	}
 	return ex, err
 }
@@ -217,26 +202,33 @@ func (h *Hub) runPO(ctx context.Context, ex *Exchange, native any) error {
 	return nil
 }
 
-// newExchange allocates and registers an exchange record.
-func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, opts exchangeOpts) *Exchange {
+// newExchange allocates and registers an exchange record for req.
+// canaryKey is the stable business identifier (PO ID) canary routing hashes
+// on, so a resubmitted document lands on the same arm as its original run;
+// "" falls back to the exchange ID.
+func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, req *Request, canaryKey string) *Exchange {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.exchSeq++
 	ex := &Exchange{
-		ID:        fmt.Sprintf("ex-%06d", h.exchSeq),
-		Partner:   route.partner,
-		Protocol:  route.partner.Protocol,
-		Backend:   route.partner.Backend,
-		Flow:      flow,
-		route:     route,
-		cfg:       route.cfg,
-		resubmit:  opts.resubmit,
-		journaled: opts.journaled,
-		retry:     opts.retry,
+		ID:       h.nextExchangeID(),
+		Partner:  route.partner,
+		Protocol: route.partner.Protocol,
+		Backend:  route.partner.Backend,
+		Flow:     flow,
+		route:    route,
+		cfg:      route.cfg,
+		resubmit: req.resubmit,
+		retry:    req.Retry,
 	}
-	h.armCanary(ex, opts.canaryKey)
+	h.armCanary(ex, canaryKey)
 	h.exchanges[ex.ID] = ex
 	return ex
+}
+
+// nextExchangeID mints the next exchange ID. Called under h.mu.
+func (h *Hub) nextExchangeID() string {
+	h.exchSeq++
+	return fmt.Sprintf("ex-%06d", h.exchSeq)
 }
 
 // emitRoute records one routing hop of an exchange on the event bus.

@@ -127,22 +127,18 @@ func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 		h.journalComplete(key, &req, &res)
 		return &res, err
 	}
-	flow := obs.FlowPO
-	if req.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
 	if cause == nil {
 		cause = ErrPeerUnavailable
 	}
-	ex := h.newExchange(route, flow, exchangeOpts{journaled: req.journaled})
+	ex := h.newExchange(route, req.flow(), &req, "")
 	werr := wrapExchangeErr(ex, obs.StageExchange, "", cause)
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	h.emitLifecycle(ex, obs.StepFailed, 0, werr)
-	h.deadLetterRequest(ex, werr, req)
+	h.deadLetter(ex, werr, &req)
 	h.bus.Emit(obs.Event{
 		ExchangeID: ex.ID,
 		Partner:    partner,
-		Flow:       flow,
+		Flow:       ex.Flow,
 		Kind:       obs.KindCluster,
 		Stage:      obs.StageCluster,
 		Step:       obs.StepForwardFailed,
@@ -224,82 +220,32 @@ func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partne
 	rep.Records = snap.records
 	rep.TornBytes = torn
 	rep.Corrupt = len(regions)
-	if owns == nil {
-		owns = func(string) bool { return true }
-	}
 	start := time.Now()
 	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
 
 	// The peer's completed exchanges come back as records so audit trails
 	// and ExchangeByID survive the node death, exactly as they survive a
-	// single-node restart.
-	for _, out := range snap.finished {
-		if !owns(out.Partner) {
-			rep.Skipped++
-			continue
-		}
-		if h.restoreExchange(out) {
-			rep.Restored++
-			h.bus.Emit(obs.Event{
-				ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-				Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepRestored,
-			})
-		}
-	}
-
-	// The peer's unresolved dead letters move to this hub's queue — and
-	// into this hub's journal, so they keep surviving crashes here.
-	for _, exID := range snap.deadOrder {
-		out := snap.dead[exID]
-		if !owns(out.Partner) {
-			rep.Skipped++
-			continue
-		}
-		h.restoreExchange(out)
-		dl := DeadLetter{
-			ExchangeID: out.ExchangeID,
-			Partner:    out.Partner,
-			Flow:       out.Flow,
-			Protocol:   out.Protocol,
-			Reason:     fmt.Errorf("taken over: %s", out.Reason),
-			At:         time.Now(),
-			journaled:  h.jrn != nil,
-		}
-		if out.Request != nil {
-			req := out.Request.toRequest()
-			dl.req = &req
-		}
-		h.dlqMu.Lock()
-		h.dlq = append(h.dlq, dl)
-		h.dlqMu.Unlock()
-		if h.jrn != nil {
-			h.appendOutcome("", out)
-		}
-		rep.DeadLetters++
-		h.bus.Emit(obs.Event{
-			ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-			Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepDeadLetterRestored,
-		})
-	}
+	// single-node restart; its unresolved dead letters move to this hub's
+	// queue — and into this hub's journal.
+	rep.Restored, rep.DeadLetters, rep.Skipped = h.restoreOutcomes(snap, owns, true)
 
 	// The peer's unfinished admissions re-enter through this hub's front
 	// door: fresh admission in this journal, health gate, scheduler,
 	// duplicate-tolerant replay.
 	var replays []*Future
 	for _, key := range snap.pendingOrder {
-		jr := snap.pending[key]
-		req := jr.toRequest()
+		req := snap.pending[key].toRequest()
 		// An entry whose partner is unknown before decode (a wire-po with no
 		// shard hint) reports "" — the ownership predicate decides who takes
 		// unattributable work.
-		if !owns(req.healthKey()) {
+		if owns != nil && !owns(req.healthKey()) {
 			rep.Skipped++
 			continue
 		}
 		if snap.attempts[key] >= poisonThreshold {
 			// The peer's recovery crash-looped on this admission; the
 			// successor parks it durably instead of inheriting the loop.
-			_, _ = h.ParkRequest(jr.toRequest(), fmt.Errorf("taken-over poison admission %s: %d recovery replays did not complete", key, snap.attempts[key]))
+			_, _ = h.ParkRequest(req, fmt.Errorf("taken-over poison admission %s: %d recovery replays did not complete", key, snap.attempts[key]))
 			rep.Reenqueued++
 			rep.Redelivered++
 			continue
@@ -308,7 +254,7 @@ func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partne
 		if err != nil {
 			// The scheduler refused (stopped, ctx done): park the admission
 			// durably here so the work stays replayable via Resubmit.
-			_, _ = h.ParkRequest(jr.toRequest(), fmt.Errorf("takeover replay refused: %w", err))
+			_, _ = h.ParkRequest(req, fmt.Errorf("takeover replay refused: %w", err))
 			rep.Reenqueued++
 			rep.Redelivered++
 			continue
@@ -316,30 +262,12 @@ func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partne
 		rep.Reenqueued++
 		replays = append(replays, fut)
 	}
-	for _, fut := range replays {
-		res := fut.Result(ctx)
-		if ctx.Err() != nil {
-			return rep, ctx.Err()
-		}
-		if res.Err == nil {
-			rep.Recovered++
-		} else {
-			rep.Redelivered++
-		}
-		var exID string
-		if res.Exchange != nil {
-			exID = res.Exchange.ID
-		}
-		h.bus.Emit(obs.Event{
-			ExchangeID: exID,
-			Kind:       obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepReplayed,
-			Err: res.Err,
-		})
+	recovered, redelivered, err := h.awaitReplays(ctx, replays, start)
+	rep.Recovered += recovered
+	rep.Redelivered += redelivered
+	if err != nil {
+		return rep, err
 	}
-	h.bus.Emit(obs.Event{
-		Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepFinished,
-		Elapsed: time.Since(start),
-	})
 	h.bus.Emit(obs.Event{
 		Kind: obs.KindCluster, Stage: obs.StageCluster, Step: obs.StepTakeover,
 		Elapsed: time.Since(start),

@@ -89,20 +89,16 @@ func (h *Hub) fastFail(req Request, partner string, step string) Result {
 		err := fmt.Errorf("%w: %q", ErrUnknownPartner, partner)
 		return Result{Err: err}
 	}
-	flow := obs.FlowPO
-	if req.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
-	ex := h.newExchange(route, flow, exchangeOpts{journaled: req.journaled})
+	ex := h.newExchange(route, req.flow(), &req, "")
 	cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
 	err := wrapExchangeErr(ex, obs.StageExchange, "", cause)
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	h.emitLifecycle(ex, obs.StepFailed, 0, err)
-	h.deadLetterRequest(ex, err, req)
+	h.deadLetter(ex, err, &req)
 	h.bus.Emit(obs.Event{
 		ExchangeID: ex.ID,
 		Partner:    partner,
-		Flow:       flow,
+		Flow:       ex.Flow,
 		Kind:       obs.KindHealth,
 		Stage:      obs.StageHealth,
 		Step:       step,

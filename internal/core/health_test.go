@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/health"
@@ -110,6 +111,71 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 	}
 	if hm[0].FastFails != 2 || hm[0].Probes != 1 || hm[0].Opens != 1 || hm[0].Closes != 1 || hm[0].State != "closed" {
 		t.Fatalf("TP1 gauges = %+v, want 2 fast-fails / 1 probe / 1 open / 1 close / closed", hm[0])
+	}
+}
+
+// TestResubmitIsHealthGated: a dead letter whose chain ran and failed
+// reruns through the partner health gate like any other submission. While
+// the circuit its own failures opened is still open, Resubmit fast-fails
+// without touching the (healed) backend; past ProbeInterval the rerun is
+// the half-open probe, and its success closes the circuit.
+func TestResubmitIsHealthGated(t *testing.T) {
+	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	h := newFig14Hub(t, WithHealth(health.Config{
+		Threshold:     0.5,
+		MinSamples:    2,
+		ProbeInterval: time.Minute,
+		Now:           clock.Now,
+	}))
+	var wrapped []*backend.Faulty
+	h.WrapBackends(func(sys backend.System) backend.System {
+		f := backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 1, Seed: 9})
+		wrapped = append(wrapped, f)
+		return f
+	})
+	h.SetDefaultRetryPolicy(RetryPolicy{MaxAttempts: 2})
+	ctx := context.Background()
+	g := doc.NewGenerator(41)
+
+	for i := 0; i < 2; i++ {
+		if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); !errors.Is(err, backend.ErrInjected) {
+			t.Fatalf("order %d: err = %v, want the injected backend fault", i, err)
+		}
+	}
+	if got := h.Health().StateOf("TP1"); got != health.StateOpen {
+		t.Fatalf("breaker state = %v, want open after two endpoint failures", got)
+	}
+	dls := h.DrainDeadLetters()
+	if len(dls) != 2 {
+		t.Fatalf("dead letters = %d, want 2", len(dls))
+	}
+	for _, f := range wrapped {
+		f.SetSchedule(backend.FaultSchedule{})
+	}
+	stored := func() int {
+		n := 0
+		for _, f := range wrapped {
+			n += f.Inner().StoredOrders()
+		}
+		return n
+	}
+
+	if _, err := h.Resubmit(ctx, dls[0]); !errors.Is(err, ErrPartnerUnavailable) {
+		t.Fatalf("resubmit with the circuit open: err = %v, want ErrPartnerUnavailable", err)
+	}
+	if n := stored(); n != 0 {
+		t.Fatalf("backends stored %d orders while the circuit was open, want 0", n)
+	}
+
+	clock.Advance(time.Minute)
+	if _, err := h.Resubmit(ctx, dls[1]); err != nil {
+		t.Fatalf("probe resubmit after heal: %v", err)
+	}
+	if got := h.Health().StateOf("TP1"); got != health.StateClosed {
+		t.Fatalf("breaker state after the probe resubmit = %v, want closed", got)
+	}
+	if n := stored(); n != 1 {
+		t.Fatalf("backends stored %d orders, want 1", n)
 	}
 }
 

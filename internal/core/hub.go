@@ -66,10 +66,6 @@ type Exchange struct {
 	// backend's duplicate-order rejection.
 	resubmit bool
 
-	// journaled marks an exchange whose admission was write-ahead-logged;
-	// its dead letter survives a restart through the journal.
-	journaled bool
-
 	// deadLettered records that the exchange was parked on the dead-letter
 	// queue. Set by the goroutine driving the exchange before its result
 	// resolves; journalComplete classifies the terminal outcome by it.

@@ -501,8 +501,9 @@ func (h *Hub) appendOutcome(key string, out journalOutcome) {
 // journalResubmitOutcome settles a dead letter's journal entry after a
 // Resubmit attempt: a successful rerun resolves it for good; a rerun that
 // dead-lettered again resolves the old entry and parks the new exchange's
-// record in its place; a rerun that never produced a dead letter (unknown
-// partner, lost payload) leaves the original entry recoverable.
+// record, with the retained request, in its place; a rerun that never
+// produced a dead letter (unknown partner, no retained request) leaves the
+// original entry recoverable.
 func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 	if h.jrn == nil {
 		return
@@ -531,33 +532,10 @@ func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 			Protocol:   ex.Protocol,
 			Outcome:    outcomeDeadLetter,
 			Reason:     err.Error(),
-			Request:    h.replayableRequest(dl),
+			Request:    toJournalRequest(dl.req),
 		}
 		h.appendOutcome("", out)
 	}
-}
-
-// replayableRequest derives a Request that re-runs a dead letter: the
-// retained request if admission never ran it, the billing identifiers for
-// an invoice, or the native PO re-encoded to its wire form.
-func (h *Hub) replayableRequest(dl DeadLetter) *journalRequest {
-	switch {
-	case dl.req != nil:
-		return toJournalRequest(dl.req)
-	case dl.Flow == obs.FlowInvoice:
-		return &journalRequest{Kind: DocInvoice, PartnerID: dl.Partner, POID: dl.poID}
-	case dl.native != nil:
-		codec, err := h.codecs.Lookup(dl.Protocol, doc.TypePO)
-		if err != nil {
-			return nil
-		}
-		wire, err := codec.Encode(dl.native)
-		if err != nil {
-			return nil
-		}
-		return &journalRequest{Kind: DocWirePO, Protocol: dl.Protocol, Wire: wire, PartnerID: dl.Partner}
-	}
-	return nil
 }
 
 // RecoveryReport is what one Recover pass did.
@@ -624,44 +602,10 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
 
 	// Completed exchanges come back as records so ExchangeByID and audit
-	// trails survive the restart.
-	for _, out := range snap.finished {
-		if h.restoreExchange(out) {
-			rep.Restored++
-			h.bus.Emit(obs.Event{
-				ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-				Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepRestored,
-			})
-		}
-	}
-
-	// Unresolved dead letters come back on the queue, replayable via
-	// Resubmit exactly like entries that never left memory.
-	for _, exID := range snap.deadOrder {
-		out := snap.dead[exID]
-		h.restoreExchange(out)
-		dl := DeadLetter{
-			ExchangeID: out.ExchangeID,
-			Partner:    out.Partner,
-			Flow:       out.Flow,
-			Protocol:   out.Protocol,
-			Reason:     errors.New(out.Reason),
-			At:         time.Now(),
-			journaled:  true,
-		}
-		if out.Request != nil {
-			req := out.Request.toRequest()
-			dl.req = &req
-		}
-		h.dlqMu.Lock()
-		h.dlq = append(h.dlq, dl)
-		h.dlqMu.Unlock()
-		rep.DeadLetters++
-		h.bus.Emit(obs.Event{
-			ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-			Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepDeadLetterRestored,
-		})
-	}
+	// trails survive the restart; unresolved dead letters come back on the
+	// queue, replayable via Resubmit exactly like entries that never left
+	// memory.
+	rep.Restored, rep.DeadLetters, _ = h.restoreOutcomes(snap, nil, false)
 
 	// Unfinished admissions re-enter through the front door: health gate,
 	// scheduler, journal completion under their original admission key.
@@ -669,11 +613,7 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 	// admission that keeps crashing the hub mid-replay accumulates
 	// attempts across restarts; at poisonThreshold it is parked on the
 	// dead-letter queue instead of crash-looping recovery forever.
-	type replay struct {
-		key string
-		fut *Future
-	}
-	var replays []replay
+	var replays []*Future
 	for _, key := range snap.pendingOrder {
 		jr := snap.pending[key]
 		if snap.attempts[key] >= poisonThreshold {
@@ -685,25 +625,94 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 		_ = h.jrn.Append(journal.Record{Kind: recReplay, Key: key})
 		h.jrnAttempts[key]++
 		h.jrnMu.Unlock()
-		req := jr.toRequest()
-		fut, err := h.doAsync(ctx, req, key)
+		fut, err := h.doAsync(ctx, jr.toRequest(), key)
 		if err != nil {
 			// The scheduler refused (stopped, ctx done): the admission
 			// stays pending in the journal for the next Recover.
 			continue
 		}
 		rep.Reenqueued++
-		replays = append(replays, replay{key: key, fut: fut})
+		replays = append(replays, fut)
 	}
-	for _, r := range replays {
-		res := r.fut.Result(ctx)
+	var err error
+	rep.Recovered, rep.Redelivered, err = h.awaitReplays(ctx, replays, start)
+	return rep, err
+}
+
+// restoreOutcomes brings a journal snapshot's finished exchanges back as
+// records and its unresolved dead letters back on the queue, replayable via
+// Resubmit, and counts what it restored. owns filters entries by partner
+// (nil claims every partner); skipped counts the entries it rejected. A
+// foreign snapshot is a dead peer's journal: its dead letters are marked as
+// taken over and re-journaled here, so they keep surviving crashes on this
+// node.
+func (h *Hub) restoreOutcomes(snap *journalSnapshot, owns func(partner string) bool, foreign bool) (restored, deadLetters, skipped int) {
+	for _, out := range snap.finished {
+		if owns != nil && !owns(out.Partner) {
+			skipped++
+			continue
+		}
+		if h.restoreExchange(out) {
+			restored++
+			h.bus.Emit(obs.Event{
+				ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
+				Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepRestored,
+			})
+		}
+	}
+	for _, exID := range snap.deadOrder {
+		out := snap.dead[exID]
+		if owns != nil && !owns(out.Partner) {
+			skipped++
+			continue
+		}
+		h.restoreExchange(out)
+		reason := out.Reason
+		if foreign {
+			reason = "taken over: " + reason
+		}
+		dl := DeadLetter{
+			ExchangeID: out.ExchangeID,
+			Partner:    out.Partner,
+			Flow:       out.Flow,
+			Protocol:   out.Protocol,
+			Reason:     errors.New(reason),
+			At:         time.Now(),
+			journaled:  h.jrn != nil,
+		}
+		if out.Request != nil {
+			req := out.Request.toRequest()
+			dl.req = &req
+		}
+		h.dlqMu.Lock()
+		h.dlq = append(h.dlq, dl)
+		h.dlqMu.Unlock()
+		if foreign && h.jrn != nil {
+			h.appendOutcome("", out)
+		}
+		deadLetters++
+		h.bus.Emit(obs.Event{
+			ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
+			Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepDeadLetterRestored,
+		})
+	}
+	return restored, deadLetters, skipped
+}
+
+// awaitReplays waits for the replays of a recovery pass, counting those
+// that completed (recovered) and those that dead-lettered again
+// (redelivered), and emits a replayed event per replay plus the pass's
+// finished event. It returns early with ctx's error when ctx is done.
+func (h *Hub) awaitReplays(ctx context.Context, replays []*Future, start time.Time) (recovered, redelivered int, err error) {
+	for _, fut := range replays {
+		res := fut.Result(ctx)
 		if ctx.Err() != nil {
-			return rep, ctx.Err()
+			return recovered, redelivered, ctx.Err()
 		}
 		if res.Err == nil {
-			rep.Recovered++
+			recovered++
 		} else {
-			rep.Redelivered++
+			redelivered++
 		}
 		var exID string
 		if res.Exchange != nil {
@@ -719,7 +728,7 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 		Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepFinished,
 		Elapsed: time.Since(start),
 	})
-	return rep, nil
+	return recovered, redelivered, nil
 }
 
 // parkPoisoned terminates a poison admission: instead of a replay, the
@@ -728,14 +737,11 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 // operator has looked at it. Recovery of everything else proceeds.
 func (h *Hub) parkPoisoned(key string, jr *journalRequest, attempts int) {
 	h.mu.Lock()
-	h.exchSeq++
-	exID := fmt.Sprintf("ex-%d", h.exchSeq)
+	exID := h.nextExchangeID()
 	h.mu.Unlock()
 	reason := fmt.Errorf("core: poison admission %s: %d recovery replays did not complete", key, attempts)
-	flow := obs.FlowPO
-	if jr.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
+	req := jr.toRequest()
+	flow := req.flow()
 	out := journalOutcome{
 		ExchangeID: exID,
 		Partner:    jr.PartnerID,
@@ -746,7 +752,6 @@ func (h *Hub) parkPoisoned(key string, jr *journalRequest, attempts int) {
 		Request:    jr,
 	}
 	h.appendOutcome(key, out)
-	req := jr.toRequest()
 	h.parkDeadLetter(DeadLetter{
 		ExchangeID: exID,
 		Partner:    jr.PartnerID,

@@ -318,6 +318,51 @@ func TestRecoverRestoresDeadLetters(t *testing.T) {
 	}
 }
 
+// A dead letter that re-parks on Resubmit journals the request that
+// failed, not a re-encoding of its document: after a restart the entry
+// still reruns as the original DocPO under its per-call retry override.
+func TestRecoverReparkedDeadLetterKeepsRequest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hub.wal")
+	ctx := context.Background()
+	h1 := journaledHub(t, path)
+	h1.WrapBackends(func(sys backend.System) backend.System {
+		return backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 1, Seed: 6})
+	})
+	g := doc.NewGenerator(17)
+	po := g.PO(tp1, seller)
+	retry := &RetryPolicy{MaxAttempts: 2}
+	if _, err := h1.Do(ctx, Request{Kind: DocPO, PO: po, Retry: retry}); err == nil {
+		t.Fatal("Do succeeded against an always-failing backend")
+	}
+	dls := h1.DrainDeadLetters()
+	if len(dls) != 1 {
+		t.Fatalf("dead letters = %d, want 1", len(dls))
+	}
+	if _, err := h1.Resubmit(ctx, dls[0]); err == nil {
+		t.Fatal("resubmit succeeded against an always-failing backend")
+	}
+	if n := len(h1.DeadLetters()); n != 1 {
+		t.Fatalf("resubmit re-parked %d entries, want 1", n)
+	}
+	if err := h1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := journaledHub(t, path)
+	defer h2.CloseJournal()
+	if _, err := h2.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	restored := h2.DeadLetters()
+	if len(restored) != 1 || restored[0].req == nil {
+		t.Fatalf("restored dead letters %+v, want one with its request", restored)
+	}
+	req := restored[0].req
+	if req.Kind != DocPO || req.PO == nil || req.PO.ID != po.ID || req.Retry == nil || *req.Retry != *retry {
+		t.Fatalf("restored request kind=%s retry=%v, want %s %s with retry %+v", req.Kind, req.Retry, DocPO, po.ID, *retry)
+	}
+}
+
 // Duplicate admission records (a crashed compaction replayed over an
 // append, a buggy writer) must not double-run: replay is keyed by
 // admission key.

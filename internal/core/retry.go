@@ -200,8 +200,9 @@ func (h *Hub) WrapBackends(wrap func(backend.System) backend.System) {
 }
 
 // DeadLetter is one exchange parked on the hub's dead-letter queue after
-// exhausting its retry policy. The original inbound payload is retained so
-// the exchange can be resubmitted once the endpoint heals.
+// exhausting its retry policy or being rejected at admission. The request
+// that failed is retained so the exchange can be resubmitted once the
+// endpoint heals.
 type DeadLetter struct {
 	ExchangeID string
 	Partner    string
@@ -217,39 +218,17 @@ type DeadLetter struct {
 	// spill it from memory without losing it.
 	journaled bool
 
-	// native is the decoded native inbound PO (FlowPO); poID identifies the
-	// billed order (FlowInvoice).
-	native any
-	poID   string
-	// req is the original submission, retained when the exchange was
-	// rejected at admission (circuit fast-fail or shed) and never reached
-	// the pipeline: Resubmit simply reruns it.
+	// req is the request that failed: Resubmit reruns it through the
+	// health gate like any other submission.
 	req *Request
 }
 
-// deadLetter parks a failed exchange on the queue and emits the
-// dead-letter lifecycle event.
-func (h *Hub) deadLetter(ex *Exchange, reason error, native any, poID string) {
-	dl := DeadLetter{
-		ExchangeID: ex.ID,
-		Partner:    ex.Partner.ID,
-		Flow:       ex.Flow,
-		Protocol:   ex.Protocol,
-		Reason:     reason,
-		At:         time.Now(),
-		journaled:  ex.journaled,
-		native:     native,
-		poID:       poID,
-	}
-	ex.deadLettered = true
-	h.parkDeadLetter(dl)
-	h.emitLifecycle(ex, obs.StepDeadLetter, 0, reason)
-}
-
-// deadLetterRequest parks a request rejected at admission (fast-fail or
-// shed) on the queue, retaining the request itself: it never touched the
-// pipeline or a backend, so Resubmit can rerun it without duplicate risk.
-func (h *Hub) deadLetterRequest(ex *Exchange, reason error, req Request) {
+// deadLetter parks a failed exchange on the queue with the request that
+// failed retained, and emits the dead-letter lifecycle event. A request
+// whose chain ran arrives marked as a resubmission (Request.rerun); one
+// rejected at admission (fast-fail, shed, park) never touched a backend
+// and is retained as submitted.
+func (h *Hub) deadLetter(ex *Exchange, reason error, req *Request) {
 	dl := DeadLetter{
 		ExchangeID: ex.ID,
 		Partner:    ex.Partner.ID,
@@ -258,7 +237,7 @@ func (h *Hub) deadLetterRequest(ex *Exchange, reason error, req Request) {
 		Reason:     reason,
 		At:         time.Now(),
 		journaled:  req.journaled,
-		req:        &req,
+		req:        req,
 	}
 	ex.deadLettered = true
 	h.parkDeadLetter(dl)
@@ -320,8 +299,10 @@ func (h *Hub) DrainDeadLetters() []DeadLetter {
 	return out
 }
 
-// Resubmit reruns a dead-lettered exchange from its retained inbound
-// payload as a fresh exchange. Resubmissions tolerate the duplicate-order
+// Resubmit reruns a dead-lettered exchange's retained request as a fresh
+// exchange, through the partner health gate: while the partner's circuit is
+// open the rerun fast-fails and re-parks, and its outcome feeds the breaker
+// like any other exchange's. Resubmissions tolerate the duplicate-order
 // rejection of the back end (the paper's Section 1 duplicate elimination):
 // when the dead-lettered run already stored the order, the store step is
 // satisfied by the existing copy instead of double-mutating the backend.
@@ -335,29 +316,15 @@ func (h *Hub) Resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
 }
 
 func (h *Hub) resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
-	if dl.req != nil {
-		// Rejected at admission (fast-fail or shed) or restored from the
-		// journal with its request intact: a plain rerun — health-gated
-		// again, and its outcome feeds the breaker like any other exchange.
-		req := *dl.req
-		partner, probe, rejected := h.healthGate(req)
-		if rejected != nil {
-			return rejected.Exchange, rejected.Err
-		}
-		res := h.runTracked(ctx, req, partner, probe)
-		return res.Exchange, res.Err
+	if dl.req == nil {
+		return nil, fmt.Errorf("core: dead letter %s retains no request", dl.ExchangeID)
 	}
-	opts := exchangeOpts{resubmit: true, journaled: dl.journaled && h.jrn != nil}
-	switch dl.Flow {
-	case obs.FlowInvoice:
-		_, ex, err := h.sendInvoice(ctx, dl.Partner, dl.poID, opts)
-		return ex, err
-	default:
-		if dl.native == nil {
-			return nil, fmt.Errorf("core: dead letter %s retains no payload", dl.ExchangeID)
-		}
-		return h.processNativeOpt(ctx, dl.Protocol, dl.native, opts)
+	partner, probe, rejected := h.healthGate(*dl.req)
+	if rejected != nil {
+		return rejected.Exchange, rejected.Err
 	}
+	res := h.runTracked(ctx, *dl.req, partner, probe)
+	return res.Exchange, res.Err
 }
 
 // tolerateDuplicate converts the backend's duplicate-order rejection into

@@ -103,6 +103,23 @@ func (r *Request) normalize() error {
 	return nil
 }
 
+// rerun returns a copy of r marked as a resubmission, for the dead letter
+// of a request whose chain may have reached the back end before it failed:
+// its rerun tolerates the backend's duplicate-order rejection.
+func (r *Request) rerun() *Request {
+	c := *r
+	c.resubmit = true
+	return &c
+}
+
+// flow is the business flow the request runs.
+func (r *Request) flow() obs.Flow {
+	if r.Kind == DocInvoice {
+		return obs.FlowInvoice
+	}
+	return obs.FlowPO
+}
+
 // shardKey is the scheduler key the request hashes to its shard by: the
 // trading partner wherever it is known before decode.
 func (r *Request) shardKey() string {
@@ -245,16 +262,15 @@ func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, er
 
 // run executes a normalized request.
 func (h *Hub) run(ctx context.Context, req Request) Result {
-	opts := exchangeOpts{retry: req.Retry, resubmit: req.resubmit, journaled: req.journaled}
 	switch req.Kind {
 	case DocPO:
-		poa, ex, err := h.roundTrip(ctx, req.PO, opts)
+		poa, ex, err := h.roundTrip(ctx, &req)
 		return Result{POA: poa, Exchange: ex, Err: err}
 	case DocWirePO:
-		out, ex, err := h.processInboundPO(ctx, req.Protocol, req.Wire, opts)
+		out, ex, err := h.processInboundPO(ctx, &req)
 		return Result{Wire: out, Exchange: ex, Err: err}
 	case DocInvoice:
-		wire, ex, err := h.sendInvoice(ctx, req.PartnerID, req.POID, opts)
+		wire, ex, err := h.sendInvoice(ctx, &req)
 		return Result{Wire: wire, Exchange: ex, Err: err}
 	}
 	err := fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
